@@ -16,10 +16,11 @@
 // artifacts (triangle index enumerated once, at registration) with a keyed
 // LRU of local results, so repeated queries against a registered graph skip
 // enumeration entirely and hot (θ, mode) pairs skip peeling too. /graphs
-// lists and creates graphs (409 on a duplicate name), /graphs/{name} reads
-// or deletes one (404 when unknown), and /graphs/{name}/local and
-// /graphs/{name}/nuclei are the per-graph query routes. The startup dataset
-// is registered under its own name.
+// lists and creates graphs (409 on a duplicate name, 413 on an edge-list
+// body over 16 MiB), /graphs/{name} reads or deletes one (404 when
+// unknown), and /graphs/{name}/local and /graphs/{name}/nuclei are the
+// per-graph query routes. The startup dataset is registered under its own
+// name.
 //
 // -artifacts makes the registry durable: every registered graph's prepared
 // artifact is persisted into the directory (versioned binary format, see the
@@ -181,6 +182,11 @@ func (s *server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxGraphBody caps a POST /graphs edge-list body; a larger body is a 413.
+// 16 MiB holds the largest edge list cmd/gengraph writes at scale 1
+// (ljournal, 12,892,397 bytes) with room to spare.
+const maxGraphBody = 16 << 20
+
 func (s *server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if !graphName.MatchString(name) {
@@ -203,8 +209,13 @@ func (s *server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 		pg = pn.GenerateDataset(cfg)
 	} else {
 		var err error
-		if pg, err = pn.ReadEdgeList(r.Body); err != nil {
-			http.Error(w, fmt.Sprintf("edge-list body: %v (or pass ?dataset=)", err), http.StatusBadRequest)
+		if pg, err = pn.ReadEdgeList(http.MaxBytesReader(w, r.Body, maxGraphBody)); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, fmt.Sprintf("edge-list body: %v (or pass ?dataset=)", err), code)
 			return
 		}
 	}

@@ -341,6 +341,24 @@ func TestGraphRouteErrors(t *testing.T) {
 	}
 }
 
+// TestGraphBodyTooLarge: an edge-list body over maxGraphBody is refused with
+// 413 before it is parsed in full, and the server keeps serving.
+func TestGraphBodyTooLarge(t *testing.T) {
+	h := newTestServer(t, 1, -1).handler()
+	pad := "# padding line\n"
+	body := strings.Repeat(pad, maxGraphBody/len(pad)+1)
+	w := do(t, h, "POST", "/graphs?name=huge", body)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /graphs = %d, want 413 (body %q)", w.Code, w.Body.String())
+	}
+	if w := get(t, h, "/graphs/huge"); w.Code != http.StatusNotFound {
+		t.Errorf("oversized graph was registered: GET /graphs/huge = %d", w.Code)
+	}
+	if w := get(t, h, "/healthz"); w.Code != http.StatusOK {
+		t.Errorf("GET /healthz after an oversized body = %d, want 200", w.Code)
+	}
+}
+
 // TestRegistryCacheOnServer: repeated queries against a registered graph are
 // byte-identical cache hits that rebuild nothing, and /metrics reports both
 // the registry footprint and the cache counters — the top-level engine

@@ -94,11 +94,12 @@ func TestTriSetDedupSemantics(t *testing.T) {
 }
 
 // TestSharedWorldGlobalValidationAllocationFree: validating one more
-// candidate against the shared world stream — index restriction, per-world
-// predicate checks, count accumulation, and the min-tail reduction — must
-// not allocate once the estimator's scratch has reached steady state. This
-// is the allocation contract of the shared-world engine: the only per-call
-// allocations are the union worlds themselves, sampled once.
+// candidate against a one-window bank — the seed-and-scan step: index
+// restriction, early rejection, per-world predicate checks, and the verdict
+// over the summed counts — must not allocate once the estimator's scratch
+// has reached steady state. This is the allocation contract of the
+// shared-world engine: the only per-call allocations are the union worlds
+// themselves, sampled once.
 func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
 	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
 	local, err := LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})
@@ -131,12 +132,14 @@ func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
 		hs = append(hs, graph.FromSortedEdges(pg.NumVertices(), edges))
 	}
 	for i, h := range hs { // warm every scratch buffer
-		est.estimate(h, ess[i], cs.ti, 1)
+		est.seedCandidate(h, ess[i], cs.ti, 1)
+		est.scan(nil, 0)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		j := i % len(hs)
-		est.estimate(hs[j], ess[j], cs.ti, 1)
+		est.seedCandidate(hs[j], ess[j], cs.ti, 1)
+		est.scan(nil, 0)
 		i++
 	})
 	if allocs != 0 {
@@ -146,8 +149,8 @@ func TestSharedWorldGlobalValidationAllocationFree(t *testing.T) {
 
 // TestWindowStreamingScanAllocationFree: streaming one more window past an
 // already-known candidate — the window rebind (shared aliveness fill
-// included), candidate reseed, world scan, and totals merge — must not
-// allocate at steady state. This is the allocation contract of the windowed
+// included), candidate reseed, and the scan that carries its totals or
+// takes the verdict — must not allocate at steady state. This is the allocation contract of the windowed
 // bank path: peak memory is the window, and cycling windows costs no churn.
 func TestWindowStreamingScanAllocationFree(t *testing.T) {
 	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
@@ -174,14 +177,14 @@ func TestWindowStreamingScanAllocationFree(t *testing.T) {
 		est.setWindow(masks, win)
 		m := est.seedCandidate(h, edges, cs.ti, 1)
 		totals = resizeCleared(totals, m)
-		est.scanInto(totals)
+		est.scan(totals, n-lo-win)
 	}
 	lo := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		masks, _ := bank.WorldMasksWindow(pool, upg, n, lo, lo+win, 1)
 		est.setWindow(masks, win)
 		est.seedCandidate(h, edges, cs.ti, 1)
-		est.scanInto(totals)
+		est.scan(totals, n-lo-win)
 		lo = (lo + win) % n
 	})
 	if allocs != 0 {

@@ -61,7 +61,8 @@ type NucleiRequest struct {
 	Seed int64
 	// Window, when positive and smaller than the sample count, streams the
 	// shared world-mask bank through fixed-size windows of that many worlds,
-	// bounding the shard's peak bank memory at Window×⌈|E∪|/64⌉ words. The
+	// bounding the shard's peak bank memory at Window×⌈|E∪|/64⌉ words; each
+	// window is scanned against every candidate not yet rejected. The
 	// results are byte-identical to the full-bank default (see
 	// MCOptions.Window).
 	Window int
@@ -611,7 +612,7 @@ func (e *Engine) nuclei(ctx context.Context, pg *probgraph.Graph, pre *Prepared,
 		if sem == obs.SemWeak {
 			out, kerr = weaklyGlobalNuclei(pg, req.K, req.Theta, opts)
 		} else {
-			out, kerr = globalNuclei(pg, req.K, req.Theta, opts)
+			out, _, kerr = globalNuclei(pg, req.K, req.Theta, opts)
 		}
 		return kerr
 	})

@@ -140,32 +140,35 @@ func TestEngineConcurrentStress(t *testing.T) {
 // TestEngineCancellationMidRun: cancelling a long request returns ctx.Err()
 // well before the uncancelled runtime, and the shard that served it goes
 // back on the free list fully reusable — the next uncancelled request still
-// matches the package-level result.
+// matches the package-level result. It runs once on the one-window bank and
+// once streamed through 64-world windows, where the cancel lands mid-window.
 func TestEngineCancellationMidRun(t *testing.T) {
 	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04)))
 	eng := NewEngine(1, 2)
 	defer eng.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	// Uncancelled, this request runs for many seconds (thousands of shared
-	// worlds over every candidate).
-	start := time.Now()
-	_, err := eng.Global(ctx, pg, NucleiRequest{K: 1, Theta: 0.001, Samples: 4000, Seed: 1})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Global returned %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("cancelled Global took %v; cancellation did not propagate promptly", elapsed)
-	}
+	for _, window := range []int{0, 64} {
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			cancel()
+		}()
+		// Uncancelled, this request runs for many seconds (thousands of
+		// shared worlds over every candidate).
+		start := time.Now()
+		_, err := eng.Global(ctx, pg, NucleiRequest{K: 1, Theta: 0.001, Samples: 4000, Seed: 1, Window: window})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("window=%d: cancelled Global returned %v, want context.Canceled", window, err)
+		}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Errorf("window=%d: cancelled Global took %v; cancellation did not propagate promptly", window, elapsed)
+		}
 
-	// Shard reuse after cancellation.
-	for _, c := range engineCases(t)[:1] {
-		if err := checkEngineCase(context.Background(), eng, c); err != nil {
-			t.Errorf("after cancellation: %v", err)
+		// Shard reuse after cancellation.
+		for _, c := range engineCases(t)[:1] {
+			if err := checkEngineCase(context.Background(), eng, c); err != nil {
+				t.Errorf("window=%d: after cancellation: %v", window, err)
+			}
 		}
 	}
 }
@@ -250,22 +253,6 @@ func TestEngineRejectsInvalidRequests(t *testing.T) {
 	if _, err := eng.Weak(ctx, fixtures.Fig1(), NucleiRequest{K: 1, Theta: 0.3, Samples: -2}); !errors.Is(err, ErrBadSampleSpec) {
 		t.Errorf("Weak samples=-2: %v, want ErrBadSampleSpec", err)
 	}
-}
-
-// TestDecomposerConcurrentMisusePanics: overlapping entry into the
-// single-caller Decomposer must panic with a clear message instead of
-// silently corrupting shard scratch.
-func TestDecomposerConcurrentMisusePanics(t *testing.T) {
-	d := NewDecomposer(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("overlapping Decomposer entry did not panic")
-		}
-		d.exit() // clear the first enter so Close can run
-		d.Close()
-	}()
-	d.enter("LocalDecompose")
-	d.enter("GlobalNuclei")
 }
 
 // TestSentinelErrors: every validation failure — package-level functions and

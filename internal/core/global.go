@@ -36,11 +36,12 @@ type MCOptions struct {
 	// Window, when positive and smaller than the sample count, streams the
 	// shared world-mask bank through fixed-size windows of that many worlds
 	// instead of materializing all n×⌈|E∪|/64⌉ mask words at once: peak bank
-	// memory is bounded by Window×words, candidates are re-scanned per window
-	// with persistent per-triangle totals, and the results are byte-identical
-	// to the full-bank path (the windowed draw replays the identical PRNG
-	// streams; see mc.Bank.WorldMasksWindow). Zero (the default) or a value
-	// ≥ the sample count draws the full bank in one window.
+	// memory is bounded by Window×words, each window is scanned against every
+	// candidate not yet rejected, with per-triangle totals carried between
+	// windows, and the results are byte-identical to a one-window run (the
+	// windowed draw replays the identical PRNG streams; see
+	// mc.Bank.WorldMasksWindow). Zero (the default) or a value ≥ the sample
+	// count draws the full bank in one window.
 	Window int
 	// MemBudget, when positive and Window is zero, sizes the window
 	// adaptively from a peak world-bank byte budget instead of a fixed world
@@ -57,7 +58,7 @@ type MCOptions struct {
 	// Pool, when non-nil, is a caller-owned worker pool to run on instead of
 	// spawning one per call; it overrides Workers and stays open afterwards.
 	// The same pool serves the internal LocalDecompose pruning phase and the
-	// per-candidate Monte-Carlo validation (see Decomposer).
+	// per-candidate Monte-Carlo validation.
 	Pool *par.Pool
 	// Bank, when non-nil, supplies the reusable backing the shared world-
 	// mask bank is drawn into, so repeated calls at the same (ε,δ) sample
@@ -172,8 +173,8 @@ func (o MCOptions) localResult(pg *probgraph.Graph, theta float64) (*LocalResult
 }
 
 // nucleiRequest lifts (k, θ) plus the sampling knobs of o into the request
-// struct the Engine serves — the bridge the thin package-level wrappers and
-// the legacy Decomposer cross.
+// struct the Engine serves — the bridge the thin package-level wrappers
+// cross.
 func nucleiRequest(k int, theta float64, o MCOptions) NucleiRequest {
 	return NucleiRequest{
 		K:         k,
@@ -230,7 +231,8 @@ type ProbNucleus struct {
 // run the identical kernel.
 func GlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]ProbNucleus, error) {
 	if opts.Pool != nil {
-		return globalNuclei(pg, k, theta, opts)
+		out, _, err := globalNuclei(pg, k, theta, opts)
+		return out, err
 	}
 	req := nucleiRequest(k, theta, opts)
 	if err := req.Validate(); err != nil {
@@ -242,144 +244,110 @@ func GlobalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]
 }
 
 // globalNuclei is the GlobalNuclei kernel; it requires opts.Pool and runs
-// entirely on it. Cancellation of the pool's bound context is observed
-// between pool chunks, between Monte-Carlo world batches, and at every
-// candidate, returning ctx.Err().
-func globalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]ProbNucleus, error) {
+// entirely on it. Besides the nuclei it reports how many candidates were
+// rejected while worlds were still to come (the kernel's saved scans).
+// Cancellation of the pool's bound context is observed between pool chunks,
+// between Monte-Carlo world batches, and at every candidate, returning
+// ctx.Err().
+func globalNuclei(pg *probgraph.Graph, k int, theta float64, opts MCOptions) ([]ProbNucleus, int, error) {
 	if k < 0 {
-		return nil, errNegativeK(k)
+		return nil, 0, errNegativeK(k)
 	}
 	if err := opts.validateSampleSpec(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	pool := opts.Pool
 	local, err := opts.localResult(pg, theta)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	// C: union of ℓ-(k,θ)-nuclei, with its level-k clique structure.
 	cand := newCandidateSpace(local, k)
 	if len(cand.triangles) == 0 {
-		return nil, nil
+		return nil, 0, nil
+	}
+	// Candidates: the deduplicated closures, grown once and kept in seen's
+	// arena in seed order.
+	var seen triSetDedup
+	for _, seed := range cand.triangles {
+		if err := pool.Err(); err != nil {
+			return nil, 0, err
+		}
+		closure := cand.closure(seed, k)
+		if seen.insert(closure) && opts.Obs != nil {
+			opts.Obs.Candidate(len(closure))
+		}
 	}
 	// One shared world stream over the union of all candidate edges (every
-	// candidate is a subgraph of it), sampled as one flat bank of edge
-	// bitmasks — in one window by default, or streamed through fixed-size
-	// windows when opts.Window bounds the bank's peak memory.
+	// candidate is a subgraph of it), sampled as a flat bank of edge bitmasks
+	// and streamed window by window — one window of all n worlds by default,
+	// fixed-size windows when opts.Window or opts.MemBudget bounds the bank's
+	// peak memory. Every window is scanned against every live candidate; a
+	// candidate is dropped as soon as one of its triangles can no longer
+	// reach ⌈θ·n⌉ qualifying worlds (see globalEstimator.scan), which only
+	// ever fails candidates the full scan would fail. Per-triangle counts are
+	// integer sums carried into later windows, so verdicts and MinProb are
+	// byte-identical for every window cut; a one-window run carries nothing.
 	union := appendTriangleEdges(nil, cand.ti, cand.triangles)
 	n := opts.sampleCount()
 	window := opts.windowSize(n, len(union))
 	upg := pg.SubgraphOfEdges(union)
 	bank := opts.worldBank()
 	est := newGlobalEstimator(pool, cand.ti, pg.NumVertices(), union, n, theta)
-	var out []ProbNucleus
-	var seen triSetDedup
+	live := make([]int32, seen.len())
+	for c := range live {
+		live[c] = int32(c)
+	}
+	// totals[totOff[c]:]: candidate c's carried per-triangle counts, laid
+	// out on the first window of a multi-window run.
+	var totOff, totals []int32
 	var edges []graph.Edge
-
-	if window == n {
-		masks, _ := bank.WorldMasks(pool, upg, n, opts.Seed)
-		if err := pool.Err(); err != nil {
-			return nil, err
-		}
-		est.setWindow(masks, n)
-		if err := pool.Err(); err != nil {
-			return nil, err
-		}
-		for _, seed := range cand.triangles {
-			if err := pool.Err(); err != nil {
-				return nil, err
-			}
-			closure := cand.closure(seed, k)
-			if !seen.insert(closure) {
-				continue
-			}
-			if opts.Obs != nil {
-				opts.Obs.Candidate(len(closure))
-			}
-			edges = appendTriangleEdges(edges[:0], cand.ti, closure)
-			h := graph.FromSortedEdges(pg.NumVertices(), edges)
-			minProb, ok := est.estimate(h, edges, cand.ti, k)
-			if !ok {
-				continue
-			}
-			out = append(out, buildProbNucleus(cand.ti, closure, k, theta, minProb))
-		}
-		// The last candidate may have been estimated against a half-filled
-		// world batch; one final check keeps cancelled calls from returning it.
-		if err := pool.Err(); err != nil {
-			return nil, err
-		}
-		sortNuclei(out)
-		return out, nil
-	}
-
-	// Windowed streaming: enumerate the deduplicated candidates up front,
-	// then stream the bank window by window past all of them, accumulating
-	// each candidate's per-triangle qualifying-world totals. The totals are
-	// sums of the same integers the full-bank path sums, so the final
-	// verdicts — estimates, pass/fail, reported minima — are byte-identical;
-	// only the peak mask memory changes. (The full-bank path's early exits —
-	// the θ-failing-triangle break and the aliveness prune — only skip work,
-	// never change a verdict, so their absence here is invisible.)
-	closOff := make([]int32, 1, len(cand.triangles)+1)
-	var closFlat []int32
-	for _, seed := range cand.triangles {
-		if err := pool.Err(); err != nil {
-			return nil, err
-		}
-		closure := cand.closure(seed, k)
-		if !seen.insert(closure) {
-			continue
-		}
-		if opts.Obs != nil {
-			opts.Obs.Candidate(len(closure))
-		}
-		closFlat = append(closFlat, closure...)
-		closOff = append(closOff, int32(len(closFlat)))
-	}
-	nc := len(closOff) - 1
-	cntOff := make([]int32, 1, nc+1)
-	var cntFlat []int32
-	for lo := 0; lo < n; lo += window {
-		hi := lo + window
-		if hi > n {
-			hi = n
-		}
+	var out []ProbNucleus
+	early := 0
+	for lo := 0; lo < n && len(live) > 0; lo += window {
+		hi := min(lo+window, n)
 		masks, _ := bank.WorldMasksWindow(pool, upg, n, lo, hi, opts.Seed)
 		if err := pool.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		est.setWindow(masks, hi-lo)
-		for c := 0; c < nc; c++ {
+		kept := live[:0]
+		for _, c := range live {
 			if err := pool.Err(); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			closure := closFlat[closOff[c]:closOff[c+1]]
+			closure := seen.set(c)
 			edges = appendTriangleEdges(edges[:0], cand.ti, closure)
 			h := graph.FromSortedEdges(pg.NumVertices(), edges)
 			m := est.seedCandidate(h, edges, cand.ti, k)
-			if lo == 0 {
-				for i := 0; i < m; i++ {
-					cntFlat = append(cntFlat, 0)
+			var tot []int32
+			if window < n {
+				if lo == 0 {
+					totOff = append(totOff, int32(len(totals)))
+					totals = append(totals, make([]int32, m)...)
 				}
-				cntOff = append(cntOff, cntOff[c]+int32(m))
+				tot = totals[totOff[c] : int(totOff[c])+m]
 			}
-			est.scanInto(cntFlat[cntOff[c]:cntOff[c+1]])
+			minProb, ok := est.scan(tot, n-hi)
+			switch {
+			case !ok && hi < n:
+				early++
+			case ok && hi < n:
+				kept = append(kept, c)
+			case ok:
+				out = append(out, buildProbNucleus(cand.ti, closure, k, theta, minProb))
+			}
 		}
+		live = kept
 	}
+	// The last candidate may have been scanned against a half-filled world
+	// batch; one final check keeps cancelled calls from returning it.
 	if err := pool.Err(); err != nil {
-		return nil, err
-	}
-	for c := 0; c < nc; c++ {
-		minProb, ok := est.tailVerdict(cntFlat[cntOff[c]:cntOff[c+1]])
-		if !ok {
-			continue
-		}
-		out = append(out, buildProbNucleus(cand.ti, closFlat[closOff[c]:closOff[c+1]], k, theta, minProb))
+		return nil, 0, err
 	}
 	sortNuclei(out)
-	return out, nil
+	return out, early, nil
 }
 
 // candidateSpace is the union C of ℓ-(k,θ)-nuclei viewed as a set of
@@ -595,35 +563,37 @@ func (d *triSetDedup) insert(ids []int32) bool {
 	return true
 }
 
+// len reports the number of stored sets.
+func (d *triSetDedup) len() int { return max(len(d.offs)-1, 0) }
+
+// set returns stored set i; it aliases the arena.
+func (d *triSetDedup) set(i int32) []int32 { return d.flat[d.offs[i]:d.offs[i+1]] }
+
 // globalEstimator holds the per-candidate Monte-Carlo validation state of
 // Algorithm 2: the current window of the shared world-mask bank, the shared
 // per-world triangle-aliveness bank over the candidate union's view, one
-// WorldChecker and count slice per pool worker, the candidate's world-check
-// seed and vertex list, the scratch behind the candidate's index view, and
-// the min-tail reduction scratch. All of it is reused across candidates, so
-// validating one more candidate allocates nothing at steady state.
+// WorldChecker and count slice per pool worker, and the candidate's
+// world-check seed, vertex list and index-view scratch. All of it is reused
+// across candidates and windows, so validating one more candidate allocates
+// nothing at steady state.
 //
-// The aliveness bank (useAlive) is the shared-scan optimization: each
-// world's per-union-triangle aliveness — its three edges present — is
-// computed once per world when the window is bound, and every candidate
-// scanned against that world reads one aliveness bit per triangle and three
-// per 4-clique completion instead of re-testing edge bits (candidates
-// overlap heavily, so the same triangles were re-scanned per candidate).
-// The accumulated per-triangle alive-world counts also bound any candidate
-// triangle's qualifying count from above, which is what the θ-prune (prune)
-// uses to fail a candidate before scanning a single world: a triangle alive
-// in fewer than `need` worlds cannot qualify in enough. Both knobs default
-// on and never change a verdict — aliveness tests are equivalent to the edge
-// tests, and the prune only fails candidates the scan would fail.
+// The aliveness bank is the shared-scan optimization: each world's
+// per-union-triangle aliveness — its three edges present — is computed once
+// per world when the window is bound, and every candidate scanned against
+// that world reads one aliveness bit per triangle and three per 4-clique
+// completion instead of re-testing edge bits (candidates overlap heavily, so
+// the same triangles were re-scanned per candidate). The window's
+// per-triangle alive-world counts also bound any candidate triangle's
+// qualifying count in the window from above, which is what lets scan reject
+// a candidate before scanning a single world of it.
 type globalEstimator struct {
 	pool  *par.Pool
 	union []graph.Edge
 	words int
-	n     int // total sampled worlds (across all windows)
-	theta float64
+	n     int   // total sampled worlds (across all windows)
 	need  int32 // smallest count c with c/n ≥ θ
 	// Current window: masks holds winWorlds consecutive worlds of the bank,
-	// one row per world (the whole bank on the full-bank path).
+	// one row per world.
 	masks     []uint64
 	winWorlds int
 
@@ -632,12 +602,11 @@ type globalEstimator struct {
 	verts    []int32
 	sub      graph.SubIndexScratch
 	seed     decomp.WorldCheckSeed
+	m        int // current candidate's view triangle count
 
 	// Shared aliveness state: the union view's triangle count and per-
-	// triangle union edge ids, the per-world aliveness rows for the current
-	// window, and the alive-world totals accumulated across windows.
-	useAlive bool
-	prune    bool
+	// triangle union edge ids, and for the current window the per-world
+	// aliveness rows and per-triangle alive-world counts.
 	uT       int
 	usub     graph.SubIndexScratch
 	uSubIDs  []int32
@@ -647,18 +616,10 @@ type globalEstimator struct {
 	aliveCnt []int32
 	aliveW   [][]int32
 
-	// Min-tail reduction scratch: per-range minimum, first failing triangle
-	// id (-1 when the range passes), and its estimate.
-	partMin []float64
-	failIdx []int32
-	failP   []float64
-	// Per-candidate parameters consumed by the hoisted pool closures (one
-	// closure per estimator, not one per candidate — keeping the
-	// per-candidate steady state allocation-free).
-	m       int
+	// The pool closures, hoisted (one per estimator, not one per candidate)
+	// to keep the per-candidate steady state allocation-free.
 	worldFn func(worker, i int)
 	aliveFn func(worker, i int)
-	tailFn  func(worker, r int)
 }
 
 func newGlobalEstimator(pool *par.Pool, parent *graph.TriangleIndex, nv int, union []graph.Edge, n int, theta float64) *globalEstimator {
@@ -668,16 +629,10 @@ func newGlobalEstimator(pool *par.Pool, parent *graph.TriangleIndex, nv int, uni
 		union:    union,
 		words:    (len(union) + 63) / 64,
 		n:        n,
-		theta:    theta,
 		need:     thetaNeed(theta, n),
-		useAlive: true,
-		prune:    true,
 		checkers: make([]decomp.WorldChecker, w),
 		counts:   make([][]int32, w),
 		aliveW:   make([][]int32, w),
-		partMin:  make([]float64, w),
-		failIdx:  make([]int32, w),
-		failP:    make([]float64, w),
 	}
 	// The union view: every triangle the union's edges span, with dense ids
 	// the aliveness bank is indexed by. Candidate views restrict the same
@@ -708,14 +663,8 @@ func newGlobalEstimator(pool *par.Pool, parent *graph.TriangleIndex, nv int, uni
 		}
 	}
 	ge.worldFn = func(worker, i int) {
-		var ids []int32
-		var ok bool
-		if ge.useAlive {
-			ids, ok = ge.checkers[worker].MaskQualifyingAlive(&ge.seed,
-				ge.masks[i*ge.words:(i+1)*ge.words], ge.alive[i*ge.aw:(i+1)*ge.aw])
-		} else {
-			ids, ok = ge.checkers[worker].MaskQualifying(&ge.seed, ge.masks[i*ge.words:(i+1)*ge.words])
-		}
+		ids, ok := ge.checkers[worker].MaskQualifyingAlive(&ge.seed,
+			ge.masks[i*ge.words:(i+1)*ge.words], ge.alive[i*ge.aw:(i+1)*ge.aw])
 		if !ok {
 			return
 		}
@@ -724,37 +673,17 @@ func newGlobalEstimator(pool *par.Pool, parent *graph.TriangleIndex, nv int, uni
 			cnt[id]++
 		}
 	}
-	ge.tailFn = func(_, r int) {
-		workers := ge.pool.Workers()
-		lo, hi := r*ge.m/workers, (r+1)*ge.m/workers
-		min, fail, fp := 1.0, int32(-1), 0.0
-		for j := lo; j < hi; j++ {
-			p := ge.tailAt(j, ge.n)
-			if p < min {
-				min = p
-			}
-			if p < ge.theta {
-				fail, fp = int32(j), p
-				break
-			}
-		}
-		ge.partMin[r], ge.failIdx[r], ge.failP[r] = min, fail, fp
-	}
 	return ge
 }
 
 // setWindow binds the estimator to the next window of the shared bank —
-// masks holds `worlds` consecutive world rows — and, when the aliveness
-// fast path is on, computes each window world's union-triangle aliveness
-// row once (shared by every candidate scanned against the window) while
-// accumulating the per-triangle alive-world totals the θ-prune reads. The
-// per-worker count slices are summed in worker order, so the totals are the
-// exact integers a serial fill would produce.
+// masks holds `worlds` consecutive world rows — and computes each window
+// world's union-triangle aliveness row once (shared by every candidate
+// scanned against the window) together with the window's per-triangle
+// alive-world counts. The per-worker count slices are summed in worker
+// order, so the counts are the exact integers a serial fill would produce.
 func (ge *globalEstimator) setWindow(masks []uint64, worlds int) {
 	ge.masks, ge.winWorlds = masks, worlds
-	if !ge.useAlive {
-		return
-	}
 	if total := worlds * ge.aw; cap(ge.alive) < total {
 		ge.alive = make([]uint64, total)
 	}
@@ -763,6 +692,7 @@ func (ge *globalEstimator) setWindow(masks []uint64, worlds int) {
 		ge.aliveW[w] = resizeCleared(ge.aliveW[w], ge.uT)
 	}
 	ge.pool.ForWorker(worlds, ge.aliveFn)
+	clear(ge.aliveCnt)
 	for _, cw := range ge.aliveW {
 		for u, c := range cw {
 			ge.aliveCnt[u] += c
@@ -771,17 +701,15 @@ func (ge *globalEstimator) setWindow(masks []uint64, worlds int) {
 }
 
 // seedCandidate binds the estimator to candidate h: restrict the parent
-// index (no re-enumeration), pin the union edge ids of the candidate's
-// triangles and cliques, bind the aliveness translation, and clear the
-// per-worker counts. Returns the candidate view's triangle count.
+// index (no re-enumeration), pin the candidate's adjacency and 4-clique
+// completions, bind the aliveness translation, and clear the per-worker
+// counts. Returns the candidate view's triangle count.
 func (ge *globalEstimator) seedCandidate(h *graph.Graph, edges []graph.Edge, parent *graph.TriangleIndex, k int) int {
 	hti := parent.SubIndex(h, &ge.sub)
 	m := hti.Len()
 	ge.verts = appendPositiveDegree(ge.verts[:0], h)
 	ge.seed.Seed(hti, edges, ge.union, ge.verts, k)
-	if ge.useAlive {
-		ge.seed.BindAliveness(ge.sub.ParentIDs(), ge.uSubIDs)
-	}
+	ge.seed.BindAliveness(ge.sub.ParentIDs(), ge.uSubIDs)
 	for w := range ge.counts {
 		ge.counts[w] = resizeCleared(ge.counts[w], m)
 	}
@@ -789,67 +717,57 @@ func (ge *globalEstimator) seedCandidate(h *graph.Graph, edges []graph.Edge, par
 	return m
 }
 
-// estimate evaluates the candidate h against the full shared world bank and
-// estimates Pr(X_{H,△,g} ≥ k) for every triangle of h; it reports the
-// minimum estimate and whether all triangles pass θ. Every shared world — a
-// world of the candidate union, of which h is a subgraph — is evaluated by
-// per-worker checkers with O(1) bit tests, connectivity walked over h's own
-// adjacency so union edges outside the candidate never connect it. Each
-// worker counts into its own per-triangle slice and the counts are summed
-// afterwards, so the estimates are exactly the serial ones for every worker
-// count. With the prune on, a candidate with a triangle alive in fewer than
-// `need` worlds fails without scanning — its qualifying count is bounded by
-// its alive count, so the scan could only confirm the failure (the failing
-// estimate reported alongside ok=false is not meaningful in that case;
-// callers discard it).
-func (ge *globalEstimator) estimate(h *graph.Graph, edges []graph.Edge, parent *graph.TriangleIndex, k int) (float64, bool) {
-	m := ge.seedCandidate(h, edges, parent, k)
-	if ge.useAlive && ge.prune {
-		for t := 0; t < m; t++ {
-			if ge.aliveCnt[ge.seed.AliveUID(t)] < ge.need {
-				return 0, false
-			}
+// scan validates the candidate most recently bound with seedCandidate
+// against the current window. tot holds the candidate's per-triangle
+// qualifying-world counts carried from earlier windows (nil when nothing is
+// carried, as in a one-window run) and rest the number of worlds still to
+// come after this window. The candidate is rejected — ok false — as soon as
+// some triangle's count plus every world still unscanned falls short of
+// need: first with the window's alive count standing in for the window's
+// qualifying count (a triangle qualifies only where it is alive), so a
+// doomed candidate costs no scan, then with the scanned count. Rejection is
+// exact: by thetaNeed, a final count below need is exactly an estimate below
+// θ, so it fails only candidates the full scan fails. While rest > 0 the
+// window's counts are added into tot; on the last window (rest == 0) the
+// verdict is final and minProb is the candidate's smallest estimate. Worker
+// counts are summed in worker order, so every total is the exact integer a
+// serial scan produces.
+func (ge *globalEstimator) scan(tot []int32, rest int) (minProb float64, ok bool) {
+	short := ge.need - int32(rest) // what carried + window counts must reach
+	for t := 0; t < ge.m; t++ {
+		c := ge.aliveCnt[ge.seed.AliveUID(t)]
+		if tot != nil {
+			c += tot[t]
+		}
+		if c < short {
+			return 0, false
 		}
 	}
 	ge.pool.ForWorker(ge.winWorlds, ge.worldFn)
-	return ge.minTail(m, ge.theta)
-}
-
-// scanInto runs the current window's worlds against the candidate most
-// recently bound with seedCandidate and adds each triangle's qualifying-
-// world count to totals, summing the per-worker counts in worker order —
-// integer sums, so totals accumulated over any window cut equal the
-// full-bank counts exactly.
-func (ge *globalEstimator) scanInto(totals []int32) {
-	ge.pool.ForWorker(ge.winWorlds, ge.worldFn)
-	for _, cw := range ge.counts {
-		for j, c := range cw {
-			totals[j] += c
+	low := int32(ge.n)
+	for t := 0; t < ge.m; t++ {
+		var c int32
+		if tot != nil {
+			c = tot[t]
 		}
+		for _, cw := range ge.counts {
+			c += cw[t]
+		}
+		if c < short {
+			return 0, false
+		}
+		if rest > 0 {
+			tot[t] = c
+		}
+		low = min(low, c)
 	}
-}
-
-// tailVerdict is the serial min-tail over fully accumulated per-triangle
-// totals: the same ascending scan with early exit as minTail's serial path,
-// so the windowed pipeline reports byte-identical (estimate, ok) verdicts.
-func (ge *globalEstimator) tailVerdict(totals []int32) (float64, bool) {
-	minProb := 1.0
-	for _, c := range totals {
-		p := float64(c) / float64(ge.n)
-		if p < minProb {
-			minProb = p
-		}
-		if p < ge.theta {
-			return p, false
-		}
-	}
-	return minProb, true
+	return float64(low) / float64(ge.n), true
 }
 
 // thetaNeed returns the smallest qualifying-world count c whose estimate
-// c/n clears θ — the prune threshold: a triangle alive in fewer worlds can
-// never reach it. Computed by float comparison on the exact quotients the
-// estimates use, so the prune agrees with the scan bit-for-bit.
+// c/n clears θ — the rejection threshold of globalEstimator.scan. Computed by
+// float comparison on the exact quotients the estimates use, so a count
+// below it is exactly an estimate below θ.
 func thetaNeed(theta float64, n int) int32 {
 	c := int(math.Ceil(theta * float64(n)))
 	if c > n {
@@ -887,60 +805,6 @@ func unionEdgeIndex(edges []graph.Edge, u, v int32) int32 {
 		panic("core: union triangle edge missing from union edge list")
 	}
 	return int32(lo)
-}
-
-// minTailParallelCutoff is the minimum number of candidate triangles for
-// which the per-triangle count reduction fans out to the worker pool; below
-// it the fan-out overhead outweighs the summing work.
-const minTailParallelCutoff = 2048
-
-// minTail sums the per-worker counts of every candidate triangle, divides by
-// the world count, and returns the smallest estimate plus whether all
-// triangles clear θ, exactly as a serial ascending scan with early exit
-// would: large candidates fan the scan out over fixed contiguous id ranges
-// (one per pool worker) and reduce the per-range results in range order, so
-// the returned (estimate, ok) pair — including which failing triangle's
-// estimate is reported — is byte-identical for every worker count.
-func (ge *globalEstimator) minTail(m int, theta float64) (float64, bool) {
-	n := ge.n
-	workers := ge.pool.Workers()
-	if workers == 1 || m < minTailParallelCutoff {
-		minProb := 1.0
-		for j := 0; j < m; j++ {
-			p := ge.tailAt(j, n)
-			if p < minProb {
-				minProb = p
-			}
-			if p < theta {
-				return p, false
-			}
-		}
-		return minProb, true
-	}
-	ge.pool.ForWorker(workers, ge.tailFn)
-	for r := 0; r < workers; r++ {
-		if ge.failIdx[r] >= 0 {
-			return ge.failP[r], false
-		}
-	}
-	minProb := 1.0
-	for r := 0; r < workers; r++ {
-		if ge.partMin[r] < minProb {
-			minProb = ge.partMin[r]
-		}
-	}
-	return minProb, true
-}
-
-// tailAt sums triangle j's qualifying-world counts across workers (in worker
-// order, so the integer total is exact and order-independent) and returns
-// the Monte-Carlo estimate Pr̂(X ≥ k) = total/n.
-func (ge *globalEstimator) tailAt(j, n int) float64 {
-	total := int32(0)
-	for w := range ge.counts {
-		total += ge.counts[w][j]
-	}
-	return float64(total) / float64(n)
 }
 
 // resizeCleared returns s with length n and every element zero, reusing the

@@ -54,7 +54,7 @@ type Options struct {
 	// Pool, when non-nil, is a caller-owned worker pool to run on instead of
 	// spawning one per call; it overrides Workers and stays open afterwards.
 	// Servers running many small decompositions share one pool across the
-	// local, global, and weak phases (see Decomposer).
+	// local, global, and weak phases (an Engine shard does exactly that).
 	Pool *par.Pool
 	// Obs, when non-nil, receives kernel progress events (peel rounds); it is
 	// engine plumbing, set by Engine.Local from WithObserver. A nil observer
@@ -131,8 +131,8 @@ func LocalDecompose(pg *probgraph.Graph, theta float64, opts Options) (*LocalRes
 }
 
 // localRequest lifts θ plus the per-query fields of o into the request
-// struct the Engine serves — the bridge the thin package-level wrapper and
-// the legacy Decomposer cross.
+// struct the Engine serves — the bridge the thin package-level wrapper
+// crosses.
 func localRequest(theta float64, o Options) LocalRequest {
 	return LocalRequest{
 		Theta:        theta,

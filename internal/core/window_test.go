@@ -2,9 +2,11 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"probnucleus/internal/dataset"
+	"probnucleus/internal/decomp"
 	"probnucleus/internal/fixtures"
 	"probnucleus/internal/graph"
 	"probnucleus/internal/mc"
@@ -14,7 +16,7 @@ import (
 
 // windowDiffCase is one corpus entry of the streaming differential tests:
 // an mcDiffCases-style case plus its own window-size list. Windows are
-// per-case because a windowed run re-seeds every candidate per window — the
+// per-case because a windowed run re-seeds every live candidate per window — the
 // tiny-window geometries (1, 7) are exercised on the small fixtures where
 // that is cheap, while the dataset cases cover chunk-straddling, exact-fit,
 // chunk-aligned, and oversized (clamped-to-full) windows.
@@ -44,10 +46,11 @@ func windowDiffCases() []windowDiffCase {
 
 // TestGlobalNucleiWindowedDifferential: streaming the shared bank through
 // fixed-size windows (MCOptions.Window) returns nuclei byte-identical to the
-// full-bank run — same sets, same estimated MinProb — for every window size
-// and worker count. The windowed path re-draws each window's worlds from the
-// same chunk-derived PRNG streams and accumulates the same integer counts,
-// so nothing may differ.
+// one-window run — same sets, same estimated MinProb — for every window size
+// and worker count. Every window re-draws its worlds from the same
+// chunk-derived PRNG streams, the carried counts are the same integers, and
+// early rejection only drops candidates that fail anyway, so nothing may
+// differ.
 func TestGlobalNucleiWindowedDifferential(t *testing.T) {
 	for _, c := range windowDiffCases() {
 		// One pruning decomposition per case: every run below shares it, so
@@ -122,14 +125,14 @@ func TestWeaklyGlobalNucleiWindowedDifferential(t *testing.T) {
 	}
 }
 
-// TestGlobalEstimatorAliveAndPruneDifferential: the shared-aliveness scan
-// must report exactly the same (estimate, ok) as the plain edge-bit scan for
-// every candidate, and the θ-prune may only change how a failing candidate
-// fails — never a verdict, never a passing estimate. This pins the two
-// estimator fast paths to the reference scan independently of the end-to-end
-// golden snapshot.
-func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
-	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.08)))
+// TestGlobalKernelMatchesExhaustiveReference: the window-major kernel, with
+// its early rejection, must report exactly the nuclei — verdicts and MinProb
+// — of a reference that checks every candidate against every world with the
+// graph form of the world predicate and no rejection at all, for every
+// window cut. The corpus must also make the kernel reject some candidate
+// before its last window, so the rejection path is what is being compared.
+func TestGlobalKernelMatchesExhaustiveReference(t *testing.T) {
+	pg := dataset.Generate(dataset.MustLoad("krogan", dataset.Scale(0.04)))
 	local, err := LocalDecompose(pg, 0.1, Options{Mode: ModeDP, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -140,54 +143,85 @@ func TestGlobalEstimatorAliveAndPruneDifferential(t *testing.T) {
 	}
 	pool := par.NewPool(2)
 	defer pool.Close()
+	nv := pg.NumVertices()
 	union := appendTriangleEdges(nil, cs.ti, cs.triangles)
-	const n = 64
-	masks, _ := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), n, 7)
-	passed, failed, pruned := 0, 0, 0
-	for _, theta := range []float64{0.05, 0.3, 0.8} {
-		mk := func(alive, prune bool) *globalEstimator {
-			est := newGlobalEstimator(pool, cs.ti, pg.NumVertices(), union, n, theta)
-			est.useAlive, est.prune = alive, prune
-			est.setWindow(masks, n)
-			return est
+	const n, seed = 32, 7
+	masks, words := mc.WorldMasksPool(pool, pg.SubgraphOfEdges(union), n, seed)
+	worlds := make([]*graph.Graph, n)
+	for w := range worlds {
+		var es []graph.Edge
+		for ei, e := range union {
+			if masks[w*words+ei/64]&(1<<(uint(ei)%64)) != 0 {
+				es = append(es, e)
+			}
 		}
-		plain := mk(false, false)
-		aliveOnly := mk(true, false)
-		alivePrune := mk(true, true)
-		var seen triSetDedup
-		for _, seedT := range cs.triangles {
-			closure := cs.closure(seedT, 1)
-			if !seen.insert(closure) {
-				continue
+		worlds[w] = graph.FromSortedEdges(nv, es)
+	}
+
+	// Reference counts: per candidate (in seed order, as the kernel
+	// enumerates them), each view triangle's number of qualifying worlds.
+	var seen triSetDedup
+	var closures, counts [][]int32
+	var sub graph.SubIndexScratch
+	var wc decomp.WorldChecker
+	for _, s := range cs.triangles {
+		closure := cs.closure(s, 1)
+		if !seen.insert(closure) {
+			continue
+		}
+		edges := appendTriangleEdges(nil, cs.ti, closure)
+		h := graph.FromSortedEdges(nv, edges)
+		view := cs.ti.SubIndex(h, &sub)
+		wc.Reset(view, h)
+		verts := appendPositiveDegree(nil, h)
+		cnt := make([]int32, view.Len())
+		for _, world := range worlds {
+			if ids, ok := wc.QualifyingTriangles(world, verts, 1); ok {
+				for _, id := range ids {
+					cnt[id]++
+				}
 			}
-			edges := appendTriangleEdges(nil, cs.ti, closure)
-			h := graph.FromSortedEdges(pg.NumVertices(), edges)
-			p0, ok0 := plain.estimate(h, edges, cs.ti, 1)
-			p1, ok1 := aliveOnly.estimate(h, edges, cs.ti, 1)
-			if p0 != p1 || ok0 != ok1 {
-				t.Errorf("θ=%v seed=%d: aliveness scan (%v,%v) != plain scan (%v,%v)",
-					theta, seedT, p1, ok1, p0, ok0)
+		}
+		closures = append(closures, slices.Clone(closure))
+		counts = append(counts, cnt)
+	}
+
+	passed, failed, early := 0, 0, 0
+	for _, theta := range []float64{0.05, 0.3, 0.8} {
+		var want []ProbNucleus
+		for c, cnt := range counts {
+			minProb, ok := 1.0, true
+			for _, x := range cnt {
+				p := float64(x) / float64(n)
+				minProb = min(minProb, p)
+				ok = ok && p >= theta
 			}
-			p2, ok2 := alivePrune.estimate(h, edges, cs.ti, 1)
-			if ok2 != ok0 {
-				t.Errorf("θ=%v seed=%d: prune changed the verdict: %v != %v", theta, seedT, ok2, ok0)
-			}
-			if ok0 && p2 != p0 {
-				t.Errorf("θ=%v seed=%d: prune changed a passing estimate: %v != %v", theta, seedT, p2, p0)
-			}
-			switch {
-			case ok0:
+			if ok {
+				want = append(want, buildProbNucleus(cs.ti, closures[c], 1, theta, minProb))
 				passed++
-			case !ok2 && p2 == 0 && p0 != 0:
-				pruned++ // failed without a scan, where the scan found a nonzero tail
-				failed++
-			default:
+			} else {
 				failed++
 			}
+		}
+		sortNuclei(want)
+		for _, win := range []int{1, 7, n} {
+			got, rejected, err := globalNuclei(pg, 1, theta,
+				MCOptions{Samples: n, Seed: seed, Window: win, Local: local, Pool: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("θ=%v window=%d: kernel found %d nuclei, reference %d (or their MinProb differ)",
+					theta, win, len(got), len(want))
+			}
+			early += rejected
 		}
 	}
 	if passed == 0 || failed == 0 {
-		t.Fatalf("fixture vacuous: %d passed, %d failed", passed, failed)
+		t.Fatalf("fixture vacuous: %d candidate verdicts passed, %d failed", passed, failed)
 	}
-	t.Logf("differential corpus: %d passed, %d failed (%d via prune)", passed, failed, pruned)
+	if early == 0 {
+		t.Fatal("no candidate was rejected before its last window; the comparison does not cover early rejection")
+	}
+	t.Logf("%d candidates: %d verdicts passed, %d failed, %d early rejections", len(counts), passed, failed, early)
 }

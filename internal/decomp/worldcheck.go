@@ -22,11 +22,7 @@ type WorldChecker struct {
 	visited []int32
 	stamp   int32
 	queue   []int32
-	// Mask-path scratch (see MaskQualifying): per-triangle aliveness stamps
-	// and the qualifying-id output.
-	tstamp []int32
-	tgen   int32
-	out    []int32
+	out     []int32 // qualifying-id output of MaskQualifyingAlive
 }
 
 // Reset binds the checker to the triangle index of a candidate subgraph and,
@@ -146,12 +142,12 @@ func (wc *WorldChecker) connectedOver(world *graph.Graph, verts []int32) bool {
 
 // WorldCheckSeed precomputes, for one candidate of the global algorithm,
 // everything the Definition 4 world predicate needs to be evaluated from a
-// shared union-world bitmask alone: the union edge ids of every candidate
-// triangle's edges and of every 4-clique completion's edges, the view ids of
-// each completion's other three triangles (for 4-clique connectivity), and
-// the candidate's adjacency annotated with union edge ids (for vertex
-// connectivity). Built once per candidate — the binary searches and
-// triangle-id lookups it amortizes are exactly the per-world costs of
+// shared union-world bitmask and a shared per-world triangle-aliveness row:
+// the view ids of each 4-clique completion's other three triangles (for
+// 4-clique connectivity), their ids in the union aliveness view (see
+// BindAliveness), and the candidate's adjacency annotated with union edge ids
+// (for vertex connectivity). Built once per candidate — the binary searches
+// and triangle-id lookups it amortizes are exactly the per-world costs of
 // restricting the candidate view by a materialized world graph — and then
 // shared read-only by per-worker checkers.
 type WorldCheckSeed struct {
@@ -160,14 +156,10 @@ type WorldCheckSeed struct {
 	// verts aliases the caller's positive-degree vertex list; the predicate
 	// requires the world to connect all of them.
 	verts []int32
-	// triEdge[3t..3t+2]: union edge ids of view triangle t's three edges.
-	triEdge []int32
 	// Completions, CSR per triangle: completion j of triangle t occupies
-	// slot compOff[t]+j; compEdge[3s..3s+2] are the union ids of its three
-	// z-edges and compOther[3s..3s+2] the view ids of the clique's other
-	// three triangles.
+	// slot compOff[t]+j; compOther[3s..3s+2] are the view ids of the
+	// clique's other three triangles.
 	compOff   []int32
-	compEdge  []int32
 	compOther []int32
 	// Candidate adjacency (both directions) with the union edge id of every
 	// entry, for the BFS connectivity walk.
@@ -196,36 +188,20 @@ func (s *WorldCheckSeed) Seed(view *graph.TriangleIndex, edges, union []graph.Ed
 	// A previous candidate's aliveness binding is meaningless for this one;
 	// drop it until BindAliveness is called again.
 	s.triUID, s.compOtherUID = s.triUID[:0], s.compOtherUID[:0]
-	if cap(s.triEdge) < 3*m {
-		s.triEdge = make([]int32, 3*m)
-	}
-	s.triEdge = s.triEdge[:3*m]
 	s.compOff = resizeCleared32(s.compOff, m+1)
 	total := 0
 	for t := 0; t < m; t++ {
-		tri := view.Tris[t]
-		s.triEdge[3*t] = edgeIndexOf(union, tri.A, tri.B)
-		s.triEdge[3*t+1] = edgeIndexOf(union, tri.A, tri.C)
-		s.triEdge[3*t+2] = edgeIndexOf(union, tri.B, tri.C)
 		total += len(view.Comps[t])
 		s.compOff[t+1] = int32(total)
 	}
-	if cap(s.compEdge) < 3*total {
-		s.compEdge = make([]int32, 3*total)
+	if cap(s.compOther) < 3*total {
 		s.compOther = make([]int32, 3*total)
 	}
-	s.compEdge = s.compEdge[:3*total]
 	s.compOther = s.compOther[:3*total]
 	for t := 0; t < m; t++ {
 		tri := view.Tris[t]
 		for j, z := range view.Comps[t] {
 			base := 3 * (int(s.compOff[t]) + j)
-			for i, e := range [3]graph.Edge{
-				{U: tri.A, V: z}, {U: tri.B, V: z}, {U: tri.C, V: z},
-			} {
-				e = e.Canon()
-				s.compEdge[base+i] = edgeIndexOf(union, e.U, e.V)
-			}
 			for i, o := range [3]graph.Triangle{
 				graph.MakeTriangle(tri.A, tri.B, z),
 				graph.MakeTriangle(tri.A, tri.C, z),
@@ -316,17 +292,21 @@ func (s *WorldCheckSeed) BindAliveness(parentIDs, unionSubIDs []int32) {
 // alive-count accumulator.
 func (s *WorldCheckSeed) AliveUID(t int) int32 { return s.triUID[t] }
 
-// MaskQualifyingAlive is MaskQualifying with the per-triangle edge tests
-// replaced by lookups into a shared per-world aliveness row: alive must have
-// bit u set iff union-view triangle u's three edges are all present in the
-// world mask (the caller computes one such row per world, shared by every
-// candidate scanned against that world). The predicate decisions and the
-// returned qualifying-id set are identical to MaskQualifying's — triangle
-// survival reads one aliveness bit instead of three edge bits, and 4-clique
-// survival three member-aliveness bits instead of three z-edge bits (see
-// BindAliveness for why those are equivalent). Connectivity still walks the
-// candidate adjacency over the world mask itself. The seed must have been
-// bound with BindAliveness since its last Seed call.
+// MaskQualifyingAlive is QualifyingTriangles over a shared union-world
+// bitmask and a shared per-world aliveness row: it evaluates the same
+// Definition 4 predicate — connectivity over the candidate's vertices,
+// support ≥ k for every surviving triangle, pairwise 4-clique connectivity —
+// with O(1) bit tests instead of per-world adjacency binary searches and a
+// per-world index restriction. alive must have bit u set iff union-view
+// triangle u's three edges are all present in the world mask (the caller
+// computes one such row per world, shared by every candidate scanned against
+// that world): triangle survival reads one aliveness bit, and 4-clique
+// survival the three other members' aliveness bits (see BindAliveness for why
+// that is equivalent to the clique's edges). Connectivity walks the
+// candidate adjacency over the world mask itself. When the predicate holds it
+// returns the candidate-view ids of the world's triangles; the slice aliases
+// the checker's scratch and is valid until the next call. The seed must have
+// been bound with BindAliveness since its last Seed call.
 func (wc *WorldChecker) MaskQualifyingAlive(seed *WorldCheckSeed, mask, alive []uint64) ([]int32, bool) {
 	if !wc.maskConnected(seed, mask) {
 		return nil, false
@@ -366,75 +346,6 @@ func (wc *WorldChecker) MaskQualifyingAlive(seed *WorldCheckSeed, mask, alive []
 		for j := seed.compOff[t]; j < seed.compOff[t+1]; j++ {
 			b := 3 * j
 			if maskHas(alive, seed.compOtherUID[b]) && maskHas(alive, seed.compOtherUID[b+1]) && maskHas(alive, seed.compOtherUID[b+2]) {
-				wc.u.Union(t, seed.compOther[b])
-				wc.u.Union(t, seed.compOther[b+1])
-				wc.u.Union(t, seed.compOther[b+2])
-			}
-		}
-	}
-	root := wc.u.Find(out[0])
-	for _, t := range out[1:] {
-		if wc.u.Find(t) != root {
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-// MaskQualifying is QualifyingTriangles over a shared union-world bitmask:
-// it evaluates the same Definition 4 predicate — connectivity over the
-// candidate's vertices, support ≥ k for every surviving triangle, pairwise
-// 4-clique connectivity — with O(1) bit tests against the seed's
-// precomputed union edge ids, instead of per-world adjacency binary
-// searches and a per-world index restriction. When the predicate holds it
-// returns the candidate-view ids of the world's triangles; the slice
-// aliases the checker's scratch and is valid until the next call.
-func (wc *WorldChecker) MaskQualifying(seed *WorldCheckSeed, mask []uint64) ([]int32, bool) {
-	if !wc.maskConnected(seed, mask) {
-		return nil, false
-	}
-	if len(wc.tstamp) < seed.m {
-		wc.tstamp = make([]int32, seed.m)
-	}
-	wc.tgen++
-	gen := wc.tgen
-	out := wc.out[:0]
-	for t := 0; t < seed.m; t++ {
-		b := 3 * t
-		if maskHas(mask, seed.triEdge[b]) && maskHas(mask, seed.triEdge[b+1]) && maskHas(mask, seed.triEdge[b+2]) {
-			wc.tstamp[t] = gen
-			out = append(out, int32(t))
-		}
-	}
-	wc.out = out
-	if seed.k == 0 {
-		// Connectivity is the whole predicate (Lemma 2); the scan above only
-		// supplies the triangle list for counting.
-		return out, true
-	}
-	if len(out) == 0 {
-		// No triangles at all: there is nothing whose support can reach
-		// k ≥ 1, and a k-nucleus must contain triangles.
-		return nil, false
-	}
-	for _, t := range out {
-		cnt := 0
-		for j := seed.compOff[t]; j < seed.compOff[t+1]; j++ {
-			b := 3 * j
-			if maskHas(mask, seed.compEdge[b]) && maskHas(mask, seed.compEdge[b+1]) && maskHas(mask, seed.compEdge[b+2]) {
-				cnt++
-			}
-		}
-		if cnt < seed.k {
-			return nil, false
-		}
-	}
-	// Triangle 4-clique-connectivity over the surviving triangles.
-	wc.u.Reset(seed.m)
-	for _, t := range out {
-		for j := seed.compOff[t]; j < seed.compOff[t+1]; j++ {
-			b := 3 * j
-			if maskHas(mask, seed.compEdge[b]) && maskHas(mask, seed.compEdge[b+1]) && maskHas(mask, seed.compEdge[b+2]) {
 				wc.u.Union(t, seed.compOther[b])
 				wc.u.Union(t, seed.compOther[b+1])
 				wc.u.Union(t, seed.compOther[b+2])

@@ -232,10 +232,11 @@ func TestMaskQualifyingMatchesGraphChecker(t *testing.T) {
 		viaGraph.Reset(ti, g)
 		for k := 0; k <= 2; k++ {
 			seed.Seed(ti, edges, union, verts, k)
+			me := NewMaskEdges(ti, union)
 			for w := 0; w < 8; w++ {
 				mask, world := maskAndWorld(rng, g.NumVertices(), union, 0.8)
 				wantIDs, wantOK := viaGraph.QualifyingTriangles(world, verts, k)
-				gotIDs, gotOK := viaMask.MaskQualifying(&seed, mask)
+				gotIDs, gotOK := viaMask.MaskQualifying(&seed, me, mask)
 				if gotOK != wantOK {
 					t.Fatalf("trial %d k=%d world %d: mask verdict %v, graph verdict %v",
 						trial, k, w, gotOK, wantOK)

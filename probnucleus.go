@@ -379,21 +379,6 @@ var (
 	ErrDuplicateGraph = registry.ErrDuplicateGraph
 )
 
-// Decomposer bundles LocalDecompose, GlobalNuclei, and WeaklyGlobalNuclei
-// around one persistent worker pool: repeated decompositions reuse the same
-// parked goroutine team across the local pruning phase, possible-world
-// sampling, and candidate validation, instead of spawning and tearing down a
-// pool per call. It is a thin wrapper over a one-shard Engine; results are
-// identical to the package-level functions. A Decomposer serves one
-// goroutine at a time — concurrent entry panics rather than corrupting
-// shard scratch (use an Engine for concurrent serving); call Close when
-// done.
-type Decomposer = core.Decomposer
-
-// NewDecomposer creates a Decomposer with the given worker count (0 = all
-// cores, 1 = fully serial).
-func NewDecomposer(workers int) *Decomposer { return core.NewDecomposer(workers) }
-
 // World is one sampled possible world: a deterministic graph over the same
 // vertex-id space as the probabilistic graph it was drawn from.
 type World = graph.Graph

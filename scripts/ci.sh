@@ -6,16 +6,16 @@
 # package and the full test suite under the race detector. The differential
 # tests in internal/core, internal/graph, and internal/mc run the worker
 # pools at 1/2/8 workers, so `go test -race` drives every concurrent path,
-# including the shared-world validation loop and its parallel min-tail
-# reduction; dedicated -race passes then re-run the serving Engine's
+# including the shared-world validation loop and its per-worker world scans;
+# dedicated -race passes then re-run the serving Engine's
 # concurrent stress and cancellation tests for extra scheduling variation,
 # and the fault-tolerance chaos suite (deterministic injected
 # panics/delays/cancels, shard quarantine/rebuild, goroutine-leak gate).
 #
 # The test suite includes the shared-world steady-state allocation gates
 # (internal/core/arena_test.go: validating one more candidate — index
-# restriction, per-world predicate, min-tail reduction, weak seed rebind +
-# loss cascade — must allocate nothing), so a single `go test` run asserts
+# restriction, early rejection, per-world predicate, verdict, weak seed
+# rebind + loss cascade — must allocate nothing), so a single `go test` run asserts
 # them. `goldendump -check` then verifies the global/weak golden snapshot
 # through the same command that regenerates it (drop -check after an
 # intentional semantic change).
